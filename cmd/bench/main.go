@@ -7,28 +7,14 @@
 // double as a cross-commit determinism check: a hash change without an
 // intentional timing-model change is a regression.
 //
-// The report also carries a serial-vs-parallel section: a SPECrate-style
-// configuration of isolated benchmark copies is timed once on the serial
-// engine and once per bound/weave worker count, recording wall time,
-// steps per second, bound-phase coverage, and the wall-time speedup over
-// serial. The summary hashes of the paired runs must agree — the
-// parallel engine is byte-identical by contract — so the speedup is a
-// pure host-scheduling win, visible on multi-core machines.
-//
-// A third section measures the single shared-machine run that
-// conservative-lookahead horizons (Options.SharedHorizons) exist for: a
-// 64-core SSSP instance on the Minnow hardware worklist, serial vs
-// bound/weave workers, reporting bound-phase coverage alongside the
-// speedup. The section doubles as a regression gate: bench exits
-// non-zero if the parallel run's coverage is 0% — the horizons stopped
-// exposing idle backoffs — or if the paired hashes diverge.
+// The committed BENCH_minnow.json is that check's baseline: the package
+// test re-runs every entry with the file's threads, scale, and seed and
+// fails on any summary-hash drift.
 //
 // Usage:
 //
 //	bench                      # SSSP/CC/TC × {obim, minnow+prefetch}
 //	bench -out bench.json -threads 4 -scale 1
-//	bench -rate-copies 16 -rate-workers 8
-//	bench -single-workers -1   # skip the shared-horizon single-run section
 package main
 
 import (
@@ -41,7 +27,6 @@ import (
 
 	"minnow/internal/harness"
 	"minnow/internal/kernels"
-	"minnow/internal/stats"
 )
 
 // entry is one benchmark configuration's measurement.
@@ -59,55 +44,16 @@ type entry struct {
 	Instructions int64   `json:"instructions"`  // retired micro-ops
 }
 
-// rateEntry is one serial-vs-parallel rate measurement. The serial
-// engine row has IntraJobs 0 and Speedup 1; parallel rows report their
-// wall-time speedup relative to that serial row.
-type rateEntry struct {
-	Bench       string  `json:"bench"`
-	Scheduler   string  `json:"scheduler"`
-	Copies      int     `json:"copies"`
-	IntraJobs   int     `json:"intra_jobs"`
-	WallSeconds float64 `json:"wall_seconds"`
-	SimCycles   int64   `json:"sim_cycles"`
-	SimSteps    int64   `json:"sim_steps"`
-	BoundSteps  int64   `json:"bound_steps"` // steps run inside bound phases
-	StepsPerSec float64 `json:"steps_per_sec"`
-	Speedup     float64 `json:"speedup"`      // serial wall / this wall
-	SummaryHash string  `json:"summary_hash"` // per-copy digest (copies agree)
-}
-
-// singleEntry is one serial-vs-parallel measurement of a single
-// shared-machine run (no isolated copies) under conservative-lookahead
-// horizons. Unlike the rate section, the workers of this run contend on
-// one worklist fabric; the bound phase consists of the idle backoffs the
-// horizons expose, so BoundCoverage reports how much of the schedule
-// parallelized. The serial row has IntraJobs 0 and Speedup 1.
-type singleEntry struct {
-	Bench         string  `json:"bench"`
-	Scheduler     string  `json:"scheduler"`
-	Threads       int     `json:"threads"`
-	IntraJobs     int     `json:"intra_jobs"`
-	WallSeconds   float64 `json:"wall_seconds"`
-	SimCycles     int64   `json:"sim_cycles"`
-	SimSteps      int64   `json:"sim_steps"`
-	BoundSteps    int64   `json:"bound_steps"`
-	BoundCoverage float64 `json:"bound_coverage"` // bound_steps / sim_steps
-	StepsPerSec   float64 `json:"steps_per_sec"`
-	Speedup       float64 `json:"speedup"`      // serial wall / this wall
-	SummaryHash   string  `json:"summary_hash"` // must equal the serial row's
-}
-
 // report is the BENCH_minnow.json schema.
 type report struct {
-	Schema       string        `json:"schema"`
-	GoVersion    string        `json:"go_version"`
-	NumCPU       int           `json:"num_cpu"`
-	Threads      int           `json:"threads"`
-	Scale        int           `json:"scale"`
-	Entries      []entry       `json:"entries"`
-	Rate         []rateEntry   `json:"rate,omitempty"`
-	Single       []singleEntry `json:"single,omitempty"`
-	TotalSeconds float64       `json:"total_seconds"`
+	Schema       string  `json:"schema"`
+	GoVersion    string  `json:"go_version"`
+	NumCPU       int     `json:"num_cpu"`
+	Threads      int     `json:"threads"`
+	Scale        int     `json:"scale"`
+	Seed         uint64  `json:"seed"`
+	Entries      []entry `json:"entries"`
+	TotalSeconds float64 `json:"total_seconds"`
 }
 
 func main() {
@@ -116,79 +62,26 @@ func main() {
 		threads = flag.Int("threads", 8, "simulated core count")
 		scale   = flag.Int("scale", 1, "input scale multiplier")
 		seed    = flag.Uint64("seed", 42, "graph generator seed")
-		copies  = flag.Int("rate-copies", 8, "isolated copies in the serial-vs-parallel rate section (0 = skip)")
-		workers = flag.Int("rate-workers", 0, "bound/weave workers for the parallel rate run (0 = all CPUs, capped at copies)")
-		single  = flag.Int("single-workers", 0, "bound/weave workers for the shared-horizon single-run section (0 = all CPUs, -1 = skip)")
 	)
 	flag.Parse()
 
-	benches := []string{"SSSP", "CC", "TC"}
-	configs := []struct {
-		sched    string
-		prefetch bool
-	}{
-		{"obim", false},
-		{"minnow", true},
-	}
-
 	rep := report{
-		Schema:    "minnow-bench-v3",
+		Schema:    "minnow-bench-v4",
 		GoVersion: runtime.Version(),
 		NumCPU:    runtime.NumCPU(),
 		Threads:   *threads,
 		Scale:     *scale,
+		Seed:      *seed,
 	}
 	start := time.Now()
-	for _, bench := range benches {
-		spec, err := kernels.SpecByName(bench)
+	for _, c := range configs {
+		e, err := measure(c, *threads, *scale, *seed)
 		if err != nil {
 			fail(err)
 		}
-		for _, c := range configs {
-			o := harness.Options{
-				Threads:        *threads,
-				Scale:          *scale,
-				Seed:           *seed,
-				Scheduler:      c.sched,
-				Prefetch:       c.prefetch,
-				SplitThreshold: 512,
-			}
-			t0 := time.Now()
-			run, err := harness.Run(spec, o)
-			if err != nil {
-				fail(err)
-			}
-			dt := time.Since(t0).Seconds()
-			sum := run.SumCores()
-			e := entry{
-				Bench:        bench,
-				Scheduler:    c.sched,
-				Prefetch:     c.prefetch,
-				Threads:      *threads,
-				WallSeconds:  dt,
-				SimCycles:    run.WallCycles,
-				SimSteps:     run.SimSteps,
-				SummaryHash:  run.Summary().Hash(),
-				WorkItems:    run.WorkItems,
-				Instructions: sum.Instrs,
-			}
-			if dt > 0 {
-				e.StepsPerSec = float64(run.SimSteps) / dt
-			}
-			rep.Entries = append(rep.Entries, e)
-			fmt.Printf("%-5s %-6s pf=%-5v  %8.2fs  %12d cycles  %10.0f steps/s  %s\n",
-				bench, c.sched, c.prefetch, dt, run.WallCycles, e.StepsPerSec, e.SummaryHash[:16])
-		}
-	}
-	if *copies > 0 {
-		if err := benchRate(&rep, *copies, *workers, *scale, *seed); err != nil {
-			fail(err)
-		}
-	}
-	if *single >= 0 {
-		if err := benchSingle(&rep, *single, *scale, *seed); err != nil {
-			fail(err)
-		}
+		rep.Entries = append(rep.Entries, e)
+		fmt.Printf("%-5s %-6s pf=%-5v  %8.2fs  %12d cycles  %10.0f steps/s  %s\n",
+			e.Bench, e.Scheduler, e.Prefetch, e.WallSeconds, e.SimCycles, e.StepsPerSec, e.SummaryHash[:16])
 	}
 	rep.TotalSeconds = time.Since(start).Seconds()
 
@@ -202,162 +95,55 @@ func main() {
 	fmt.Printf("wrote %s (%d entries, %.1fs total)\n", *out, len(rep.Entries), rep.TotalSeconds)
 }
 
-// benchRate times the SPECrate-style configuration — `copies` isolated
-// single-thread SSSP instances in one simulation — on the serial engine
-// and again with bound/weave workers, and appends both rows. The paired
-// runs must produce the same per-copy summary hash (the parallel engine
-// is byte-identical by contract), so any wall-time gap is host
-// parallelism, not schedule drift.
-func benchRate(rep *report, copies, workers, scale int, seed uint64) error {
-	spec, err := kernels.SpecByName("SSSP")
-	if err != nil {
-		return err
-	}
-	if workers <= 0 {
-		workers = runtime.NumCPU()
-	}
-	if workers > copies {
-		workers = copies
-	}
-	o := harness.Options{
-		Scale:          scale,
-		Seed:           seed,
-		Scheduler:      "obim",
-		SplitThreshold: 512,
-	}
-	measure := func(intra int) (*harness.RateResult, float64, error) {
-		ro := o
-		ro.IntraJobs = intra
-		t0 := time.Now()
-		res, err := harness.RunRate(spec, ro, copies)
-		return res, time.Since(t0).Seconds(), err
-	}
-	serial, serialWall, err := measure(0)
-	if err != nil {
-		return err
-	}
-	row := func(res *harness.RateResult, intra int, wall float64) rateEntry {
-		e := rateEntry{
-			Bench:       "SSSP-rate",
-			Scheduler:   o.Scheduler,
-			Copies:      copies,
-			IntraJobs:   intra,
-			WallSeconds: wall,
-			SimCycles:   res.WallCycles,
-			SimSteps:    res.SimSteps,
-			BoundSteps:  res.BoundSteps,
-			SummaryHash: res.Runs[0].Summary().Hash(),
-		}
-		if wall > 0 {
-			e.StepsPerSec = float64(res.SimSteps) / wall
-			e.Speedup = serialWall / wall
-		}
-		return e
-	}
-	sRow := row(serial, 0, serialWall)
-	rep.Rate = append(rep.Rate, sRow)
-	fmt.Printf("rate  %-6s copies=%-3d serial      %8.2fs  %10.0f steps/s  %s\n",
-		o.Scheduler, copies, serialWall, sRow.StepsPerSec, sRow.SummaryHash[:16])
-
-	par, parWall, err := measure(workers)
-	if err != nil {
-		return err
-	}
-	pRow := row(par, workers, parWall)
-	if pRow.SummaryHash != sRow.SummaryHash {
-		return fmt.Errorf("bench: rate hash diverged serial=%s parallel=%s", sRow.SummaryHash, pRow.SummaryHash)
-	}
-	rep.Rate = append(rep.Rate, pRow)
-	fmt.Printf("rate  %-6s copies=%-3d workers=%-3d %8.2fs  %10.0f steps/s  %s  speedup %.2fx (bound %d/%d steps)\n",
-		o.Scheduler, copies, workers, parWall, pRow.StepsPerSec, pRow.SummaryHash[:16],
-		pRow.Speedup, par.BoundSteps, par.SimSteps)
-	if runtime.NumCPU() == 1 {
-		fmt.Println("rate  NOTE: single-CPU host; the parallel engine cannot beat serial wall time here")
-	}
-	return nil
+// config is one benchmark configuration of the set.
+type config struct {
+	bench, sched string
+	prefetch     bool
 }
 
-// benchSingle times the shared-horizon configuration the lookahead
-// horizons exist for: one shared-machine 64-core SSSP run on the Minnow
-// hardware worklist — the scheduler whose pops can fail while tasks are
-// in flight between engines, so workers actually idle — serial and with
-// bound/weave workers, SharedHorizons on for both. It appends one row
-// per engine mode and enforces two gates: the paired summary hashes must
-// agree (byte-identity), and the parallel run's bound-phase coverage
-// must be above zero — a 0% cell means the horizons stopped exposing
-// idle backoffs and the single-run parallelization silently regressed
-// to fully serial.
-func benchSingle(rep *report, workers, scale int, seed uint64) error {
-	spec, err := kernels.SpecByName("SSSP")
+// configs is the benchmark set: SSSP/CC/TC × {obim, minnow+prefetch}.
+var configs = []config{
+	{"SSSP", "obim", false}, {"SSSP", "minnow", true},
+	{"CC", "obim", false}, {"CC", "minnow", true},
+	{"TC", "obim", false}, {"TC", "minnow", true},
+}
+
+// measure runs one configuration and times it on the host.
+func measure(c config, threads, scale int, seed uint64) (entry, error) {
+	spec, err := kernels.SpecByName(c.bench)
 	if err != nil {
-		return err
+		return entry{}, err
 	}
-	if workers == 0 {
-		workers = runtime.NumCPU()
-	}
-	const threads = 64
 	o := harness.Options{
 		Threads:        threads,
 		Scale:          scale,
 		Seed:           seed,
-		Scheduler:      "minnow",
-		Prefetch:       true,
+		Scheduler:      c.sched,
+		Prefetch:       c.prefetch,
 		SplitThreshold: 512,
-		SharedHorizons: true,
 	}
-	measure := func(intra int) (*stats.Run, float64, error) {
-		so := o
-		so.IntraJobs = intra
-		t0 := time.Now()
-		run, err := harness.Run(spec, so)
-		return run, time.Since(t0).Seconds(), err
-	}
-	serial, serialWall, err := measure(0)
+	t0 := time.Now()
+	run, err := harness.Run(spec, o)
 	if err != nil {
-		return err
+		return entry{}, err
 	}
-	row := func(run *stats.Run, intra int, wall float64) singleEntry {
-		e := singleEntry{
-			Bench:       "SSSP-single",
-			Scheduler:   o.Scheduler,
-			Threads:     threads,
-			IntraJobs:   intra,
-			WallSeconds: wall,
-			SimCycles:   run.WallCycles,
-			SimSteps:    run.SimSteps,
-			BoundSteps:  run.BoundSteps,
-			SummaryHash: run.Summary().Hash(),
-		}
-		if run.SimSteps > 0 {
-			e.BoundCoverage = float64(run.BoundSteps) / float64(run.SimSteps)
-		}
-		if wall > 0 {
-			e.StepsPerSec = float64(run.SimSteps) / wall
-			e.Speedup = serialWall / wall
-		}
-		return e
+	dt := time.Since(t0).Seconds()
+	e := entry{
+		Bench:        c.bench,
+		Scheduler:    c.sched,
+		Prefetch:     c.prefetch,
+		Threads:      threads,
+		WallSeconds:  dt,
+		SimCycles:    run.WallCycles,
+		SimSteps:     run.SimSteps,
+		SummaryHash:  run.Summary().Hash(),
+		WorkItems:    run.WorkItems,
+		Instructions: run.SumCores().Instrs,
 	}
-	sRow := row(serial, 0, serialWall)
-	rep.Single = append(rep.Single, sRow)
-	fmt.Printf("single %-6s threads=%-3d serial      %8.2fs  %10.0f steps/s  %s\n",
-		o.Scheduler, threads, serialWall, sRow.StepsPerSec, sRow.SummaryHash[:16])
-
-	par, parWall, err := measure(workers)
-	if err != nil {
-		return err
+	if dt > 0 {
+		e.StepsPerSec = float64(run.SimSteps) / dt
 	}
-	pRow := row(par, workers, parWall)
-	if pRow.SummaryHash != sRow.SummaryHash {
-		return fmt.Errorf("bench: single-run hash diverged serial=%s parallel=%s", sRow.SummaryHash, pRow.SummaryHash)
-	}
-	if pRow.BoundSteps == 0 {
-		return fmt.Errorf("bench: single-run bound-phase coverage is 0%% on the %d-core SSSP cell — shared horizons exposed no private steps", threads)
-	}
-	rep.Single = append(rep.Single, pRow)
-	fmt.Printf("single %-6s threads=%-3d workers=%-3d %8.2fs  %10.0f steps/s  %s  speedup %.2fx (coverage %.2f%%)\n",
-		o.Scheduler, threads, workers, parWall, pRow.StepsPerSec, pRow.SummaryHash[:16],
-		pRow.Speedup, 100*pRow.BoundCoverage)
-	return nil
+	return e, nil
 }
 
 func fail(err error) {

@@ -37,8 +37,7 @@ import (
 func main() {
 	var (
 		addr     = flag.String("addr", ":8080", "HTTP listen address (host:port)")
-		shards   = flag.Int("shards", 0, "concurrent simulations (0 = size against -intra-jobs via the shared budget)")
-		intra    = flag.Int("intra-jobs", 0, "bound/weave workers inside each simulation for jobs that leave IntraJobs 0 (host-only; never changes results)")
+		shards   = flag.Int("shards", 0, "concurrent simulations (0 = GOMAXPROCS)")
 		cacheDir = flag.String("cache-dir", "", "persist the result cache under this directory (empty = memory only)")
 		cacheMax = flag.Int64("cache-max-bytes", 0, "evict least-recently-used cache entries past this many bytes (0 = unbounded)")
 		jpath    = flag.String("journal", "", "append-only job journal for crash recovery; replayed on startup (empty = no journal)")
@@ -54,7 +53,6 @@ func main() {
 
 	s, err := service.New(service.Config{
 		Shards:          *shards,
-		IntraJobs:       *intra,
 		CacheDir:        *cacheDir,
 		CacheMaxBytes:   *cacheMax,
 		JournalPath:     *jpath,

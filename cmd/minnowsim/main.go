@@ -49,9 +49,6 @@ func main() {
 		profile  = flag.String("profile", "", "write a pprof profile of simulated cycles to this file (inspect with `go tool pprof`)")
 		folded   = flag.String("folded", "", "write the profiler's folded stacks to this file (feed to flamegraph tooling)")
 		httpAddr = flag.String("http", "", "serve the live run inspector on this address (host:port; needs -metrics-every)")
-		intra    = flag.Int("intra-jobs", 0, "bound/weave engine workers inside the simulation (0 = serial engine; output is byte-identical either way)")
-		window   = flag.Int64("epoch-window", 0, "bound/weave epoch length in cycles (0 = default; needs -intra-jobs)")
-		shareHz  = flag.Bool("shared-horizons", false, "conservative-lookahead horizons: idle backoffs become private steps the bound/weave engine can run concurrently (changes the step schedule; byte-identical across -intra-jobs values for a fixed setting)")
 	)
 	flag.Parse()
 
@@ -85,9 +82,6 @@ func main() {
 		Arrivals:       *arrivals,
 		Invariants:     *invar,
 		MaxCycles:      *maxCyc,
-		IntraJobs:      *intra,
-		EpochWindow:    *window,
-		SharedHorizons: *shareHz,
 	}
 	if *serial {
 		cfg.Threads = 1

@@ -66,9 +66,6 @@ func main() {
 		chaos    = flag.Bool("chaos", false, "run the fault-injection sweep instead of the grid (uses the first -threads value)")
 		chaosOut = flag.String("chaos-out", "", "also write the chaos report to this file (written on failure too)")
 		profDir  = flag.String("profile-dir", "", "write per-run cycle profiles (pprof + folded stacks) into this directory")
-		intra    = flag.Int("intra-jobs", 0, "bound/weave engine workers inside each simulation (0 = serial engine; splits the host budget with -jobs, output byte-identical)")
-		window   = flag.Int64("epoch-window", 0, "bound/weave epoch length in cycles (0 = default; needs -intra-jobs)")
-		shareHz  = flag.Bool("shared-horizons", false, "conservative-lookahead horizons on every run: idle backoffs become bound-steppable private steps (changes the step schedule; byte-identical across -intra-jobs for a fixed setting)")
 	)
 	flag.Parse()
 
@@ -76,11 +73,6 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	// Split the host-thread budget: -jobs whole runs in flight, each with
-	// -intra-jobs bound-phase workers. An explicit -jobs wins; the auto
-	// value shrinks as -intra-jobs grows so the product fills the machine.
-	*jobs, _ = minnow.SplitBudget(*jobs, *intra)
-
 	if *chaos {
 		report, cerr := minnow.RunChaos(minnow.Config{Threads: ths[0], Scale: *scale, Seed: *seed}, *jobs)
 		if report != "" {
@@ -129,9 +121,6 @@ func main() {
 						Arrivals:       *arrivals,
 						Invariants:     *invar,
 						Profile:        *profDir != "",
-						IntraJobs:      *intra,
-						EpochWindow:    *window,
-						SharedHorizons: *shareHz,
 					}
 					if sched == "minnow" {
 						cfg.Minnow = true

@@ -20,8 +20,8 @@ import (
 )
 
 func main() {
-	// One worker shard keeps the demo serial; production servers let
-	// SplitBudget size the pool against the machine.
+	// One worker shard keeps the demo serial; production servers leave
+	// Shards 0 to run one shard per GOMAXPROCS.
 	s, err := service.New(service.Config{Shards: 1})
 	if err != nil {
 		log.Fatal(err)

@@ -231,19 +231,12 @@ func (e *Engine) Config() Config { return e.cfg }
 // Credits returns the current credit count (tests).
 func (e *Engine) Credits() int { return e.credits }
 
-// MinLatency returns the engine's conservative timing floor: the local
-// queue access latency every engine-mediated worklist operation pays at
-// minimum. Threadlet execution, spill/fill traffic, and prefetch issue
-// all complete at or after their start plus this floor; it reads only
-// immutable configuration.
-func (e *Engine) MinLatency() sim.Time { return e.cfg.LocalQLatency }
-
 // CreditSlack returns how many prefetches the engine could issue right
 // now before the credit pool pauses it — the pool headroom. It reads
 // engine-local state only, but note the credits themselves are returned
 // by other actors' memory traffic (mem.System's credit events), so slack
-// observed during a weave step is stale by the next step; it is a
-// diagnostic and validation quantity, not a horizon.
+// observed during one step is stale by the next; it is a diagnostic and
+// validation quantity.
 func (e *Engine) CreditSlack() int {
 	if e.credits < 0 {
 		return 0
@@ -491,19 +484,6 @@ func (e *Engine) startPrefetch(fe *frontEnd, t worklist.Task, seq int64, at sim.
 }
 
 // --- Back-end (actor) ---
-
-// Horizon implements sim.BoundedActor as an explicit always-weave
-// opt-out: every engine threadlet can touch shared state from its first
-// cycle — spills and fills go through the global worklist shards, local
-// enqueue/dequeue moves tasks other cores observe, prefetches reserve
-// shared L3/NoC/DRAM resources and draw from the credit pool, and
-// completion calls the registered wake callback. There is no cycle count
-// below which an engine step is provably private, so it declares the
-// sentinel and the parallel engine serializes it in the weave. (The
-// engine does have a useful timing floor — see MinLatency — but a floor
-// on when an operation *completes* is not a window in which the engine
-// refrains from *touching* shared queues, so it cannot become a horizon.)
-func (e *Engine) Horizon() sim.Time { return sim.HorizonAlwaysWeave }
 
 // Step implements sim.Actor: execute one threadlet.
 func (e *Engine) Step() (sim.Time, bool) {

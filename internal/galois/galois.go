@@ -68,15 +68,6 @@ type Config struct {
 	// IdleBackoff is how long an idle worker waits before re-polling the
 	// scheduler.
 	IdleBackoff sim.Time
-	// SharedHorizons splits each idle backoff into its own simulation
-	// step so Worker.Horizon can declare it private: an idle worker's
-	// wait touches only its own core, and announcing that lookahead lets
-	// sim.Engine.RunParallel bound-step the waits of a *shared-machine*
-	// run concurrently instead of weaving every worker step. The split
-	// happens in serial and parallel execution alike (it changes the
-	// step count, which RunSummary pins), so a given configuration stays
-	// byte-identical across engines and worker counts.
-	SharedHorizons bool
 }
 
 // Runner owns one foreach execution.
@@ -103,15 +94,6 @@ type Worker struct {
 	Core   *cpu.Core
 	Ctx    worklist.Ctx
 	runner *Runner
-	// Isolated declares that this worker's entire world — scheduler,
-	// runner, core, memory system, kernel state — is private to it
-	// (SPECrate-style throughput copies built by harness.RunRate). An
-	// isolated worker reports an unbounded interaction horizon, making it
-	// eligible for concurrent stepping in sim.Engine.RunParallel bound
-	// phases. Never set this for workers that share a worklist or memory
-	// system: every ordinary worker step pops a shared scheduler and
-	// reserves shared L3/NoC/DRAM resources.
-	Isolated bool
 	// Degrees lets Push split tasks; kernels set it to the graph's
 	// degree function.
 	Degrees func(node int32) int32
@@ -120,19 +102,13 @@ type Worker struct {
 	// the core's stall hooks).
 	TL    *obs.Timeline
 	Track obs.TrackID
-	// Deferred idle backoff (Config.SharedHorizons): when idlePending is
-	// set, the worker's next step advances its core to idleUntil and
-	// touches nothing else — the private stretch Horizon announces.
-	idlePending bool
-	idleUntil   sim.Time
 	// EdgeLimit overrides the split subtask size (defaults to
 	// SplitThreshold).
 	pushBuf []worklist.Task
 	// pending holds open-loop arrival tasks deposited by the harness's
-	// injection actor (a weave step) for this worker to enqueue through
-	// the normal scheduler path at the top of its next poll step (also a
-	// weave step) — the deposit/drain split keeps bound-phase steps free
-	// of shared state. Always empty in closed-loop runs.
+	// injection actor for this worker to enqueue through the normal
+	// scheduler path at the top of its next poll step. Always empty in
+	// closed-loop runs.
 	pending []worklist.Task
 }
 
@@ -182,8 +158,8 @@ func (r *Runner) Retired() int64 { return r.retired }
 // the outstanding count immediately (so workers keep polling instead of
 // terminating under it) and lands in worker wi's pending buffer, to be
 // enqueued through the scheduler on that worker's next poll step. Called
-// only from the injection actor's weave step, which the event loop
-// serializes against every worker poll step.
+// only from the injection actor's step, which the event loop serializes
+// against every worker poll step.
 func (r *Runner) Deposit(wi int, t worklist.Task) {
 	w := r.workers[wi%len(r.workers)]
 	w.pending = append(w.pending, t)
@@ -284,20 +260,6 @@ func (w *Worker) Push(priority int64, node int32) {
 // children.
 func (w *Worker) Step() (sim.Time, bool) {
 	r := w.runner
-	if w.idlePending {
-		// Deferred idle backoff: this step was announced by Horizon as
-		// private up to idleUntil, so it may run in a bound phase and must
-		// touch only the worker's own core — in particular it must NOT
-		// read runner state like timedOut or outstanding, which other
-		// workers' weave steps mutate concurrently. The next poll step
-		// observes those under full weave semantics. Note this branch is
-		// checked before the timedOut fast path for exactly that reason.
-		w.idlePending = false
-		ir, ic := w.Core.ProfRegion(prof.RegionIdle)
-		w.Core.Advance(w.idleUntil, stats.CatWorklist)
-		w.Core.ProfRestore(ir, ic)
-		return w.Core.Now(), false
-	}
 	if r.timedOut {
 		return w.Core.Now(), true
 	}
@@ -324,18 +286,6 @@ func (w *Worker) Step() (sim.Time, bool) {
 		if r.outstanding == 0 {
 			r.sched.Flush(w)
 			return w.Core.Now(), true
-		}
-		if r.cfg.SharedHorizons {
-			// Split the backoff into its own step instead of advancing
-			// here: the poll (shared worklist access) stays a weave step,
-			// while the wait becomes a private step Horizon can expose as
-			// bound-phase lookahead. The split is unconditional under the
-			// flag — never dependent on observability wiring — so step
-			// counts (and therefore RunSummary) match between plain and
-			// instrumented runs of the same configuration.
-			w.idlePending = true
-			w.idleUntil = w.Core.Now() + r.cfg.IdleBackoff
-			return w.Core.Now(), false
 		}
 		// Back off and re-poll: someone else still holds work.
 		ir, ic := w.Core.ProfRegion(prof.RegionIdle)
@@ -366,31 +316,6 @@ func (w *Worker) Step() (sim.Time, bool) {
 		return w.Core.Now(), true
 	}
 	return w.Core.Now(), false
-}
-
-// Horizon implements sim.BoundedActor. A worker whose world is fully
-// private (Isolated) never interacts with shared simulation state, so it
-// can be bound-stepped through entire epochs. A shared-machine worker
-// with a deferred idle backoff pending (Config.SharedHorizons) is
-// private up to idleUntil: the pending step only advances its own core's
-// clock and counters — unless the core has a timeline attached, whose
-// buffer is shared across tracks, in which case the idle step must weave
-// so the event order stays serial. Every other step interacts on its
-// very first action (the scheduler pop touches the shared worklist, and
-// each memory access reserves shared L3/NoC/DRAM state), so the worker
-// reports HorizonAlwaysWeave.
-//
-// Horizon runs on pool goroutines during bound phases, so it reads only
-// the worker's own fields and its core's setup-time wiring (the TL
-// pointer, set once before the run) — never runner or scheduler state.
-func (w *Worker) Horizon() sim.Time {
-	if w.Isolated {
-		return sim.HorizonNever
-	}
-	if w.idlePending && w.Core.TL == nil {
-		return w.idleUntil
-	}
-	return sim.HorizonAlwaysWeave
 }
 
 // SWScheduler adapts a software worklist to the Scheduler interface.

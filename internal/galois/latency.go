@@ -7,9 +7,10 @@ import "sort"
 // bounded by the arrival plan's total count, so whole distributions are
 // kept and percentiles are exact (nearest-rank), not estimated.
 //
-// Like every other piece of per-run state it is single-run and stepped
-// only from weave steps, so recording order — and therefore the sorted
-// sample sets and their percentiles — is deterministic.
+// Like every other piece of per-run state it is single-run and touched
+// only from steps the event loop serializes, so recording order — and
+// therefore the sorted sample sets and their percentiles — is
+// deterministic.
 type LatencyRecorder struct {
 	wait    [][]int64
 	sojourn [][]int64
@@ -25,7 +26,7 @@ func NewLatencyRecorder(classes int) *LatencyRecorder {
 
 // clamp floors samples at zero: a task can be popped by a core whose
 // local clock lags the arrival instant (core clocks advance
-// independently between weave points), which would otherwise record a
+// independently between steps), which would otherwise record a
 // negative wait.
 func clamp(v int64) int64 {
 	if v < 0 {

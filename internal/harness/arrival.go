@@ -58,11 +58,9 @@ func newArrivalActor(plan *arrival.Plan, kern kernels.Arrivable, nodes int32) (*
 }
 
 // Step implements sim.Actor: deliver every event scheduled at the
-// current instant, then sleep until the next one. The actor never
-// implements sim.BoundedActor, so its steps always weave — task
-// construction reads live kernel state and Deposit mutates shared
-// runner counters, both of which the weave serializes against worker
-// steps.
+// current instant, then sleep until the next one. Task construction
+// reads live kernel state and Deposit mutates shared runner counters;
+// the event loop serializes both against worker steps.
 func (a *arrivalActor) Step() (sim.Time, bool) {
 	at := sim.Time(a.events[a.next].At)
 	for a.next < len(a.events) && sim.Time(a.events[a.next].At) <= at {

@@ -58,39 +58,35 @@ func TestArrivalLayerInert(t *testing.T) {
 	}
 }
 
-// TestArrivalEquivalentAcrossWorkers pins the parallel-equivalence
-// contract with arrivals on: the canonical RunSummary JSON (latency
-// percentiles included) must be byte-identical between the serial
-// engine and bound/weave execution at 1, 2, and 8 workers. Run under
-// -race in CI, this is also the proof the injection actor's
-// deposit/drain split never races worker state.
+// TestArrivalEquivalentAcrossWorkers pins the -jobs contract with
+// arrivals on: the canonical RunSummary JSON (latency percentiles
+// included) of every arrival run must be byte-identical whether
+// RunJobs executes the runs one at a time or two at once. Run under
+// -race in CI, this is also the proof that concurrent arrival runs
+// share no state.
 func TestArrivalEquivalentAcrossWorkers(t *testing.T) {
-	spec, err := kernels.SpecByName("SSSP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := arrivalOpts(t, "steady")
-	serial, err := Run(spec, base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.Latency == nil {
-		t.Fatal("arrival run recorded no latency stats")
-	}
-	if want := base.Arrivals.Total(); serial.Latency.Injected != want {
-		t.Fatalf("injected %d of %d scheduled arrivals", serial.Latency.Injected, want)
-	}
-	want := serial.Summary().JSON()
-	for _, workers := range []int{1, 2, 8} {
-		o := base
-		o.IntraJobs = workers
-		run, err := Run(spec, o)
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+	var jobs []Job
+	for _, bench := range []string{"SSSP", "BFS"} {
+		for _, plan := range []string{"steady", "waves"} {
+			jobs = append(jobs, Job{Bench: bench, Opts: arrivalOpts(t, plan)})
 		}
-		if got := run.Summary().JSON(); !bytes.Equal(got, want) {
-			t.Fatalf("workers=%d: summary JSON diverged from serial\n  serial %s\n  para   %s",
-				workers, serial.Summary().Hash(), run.Summary().Hash())
+	}
+	serial := RunJobs(jobs, 1)
+	parallel := RunJobs(jobs, 2)
+	for i, j := range jobs {
+		s, p := serial[i], parallel[i]
+		if s.Err != nil || p.Err != nil {
+			t.Fatalf("job %d (%s): serial %v, parallel %v", i, j.Bench, s.Err, p.Err)
+		}
+		if s.Run.Latency == nil {
+			t.Fatalf("job %d (%s): arrival run recorded no latency stats", i, j.Bench)
+		}
+		if want := j.Opts.Arrivals.Total(); s.Run.Latency.Injected != want {
+			t.Fatalf("job %d (%s): injected %d of %d scheduled arrivals", i, j.Bench, s.Run.Latency.Injected, want)
+		}
+		if !bytes.Equal(s.Run.Summary().JSON(), p.Run.Summary().JSON()) {
+			t.Fatalf("job %d (%s): summary JSON diverged between 1 and 2 workers\n  serial %s\n  para   %s",
+				i, j.Bench, s.Run.Summary().Hash(), p.Run.Summary().Hash())
 		}
 	}
 }

@@ -58,24 +58,3 @@ func TestCancelHookStopsRun(t *testing.T) {
 		t.Fatalf("cancel error does not wrap ErrCanceled: %v", err)
 	}
 }
-
-// TestCancelHookStopsParallelRun is TestCancelHookStopsRun on the
-// bound/weave engine: the cancel poll must also stop RunParallel.
-func TestCancelHookStopsParallelRun(t *testing.T) {
-	spec, err := kernels.SpecByName("SSSP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := obsOpts()
-	o.IntraJobs = 2
-	var flag atomic.Bool
-	flag.Store(true)
-	o.Cancel = flag.Load
-	_, err = Run(spec, o)
-	if err == nil {
-		t.Fatal("canceled parallel run returned no error")
-	}
-	if !errors.Is(err, ErrCanceled) {
-		t.Fatalf("cancel error does not wrap ErrCanceled: %v", err)
-	}
-}

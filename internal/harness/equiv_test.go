@@ -3,24 +3,25 @@ package harness
 import (
 	"bytes"
 	"fmt"
-	"runtime"
-	"strings"
 	"testing"
 
 	"minnow/internal/kernels"
+	"minnow/internal/stats"
 )
 
-// The differential equivalence suite: the parallel bound/weave engine
-// (Options.IntraJobs >= 1) must be byte-identical to the serial engine
-// on every benchmark x scheduler x seed, for every worker count — same
-// RunSummary JSON and hash, same folded profile, same timeline bytes,
-// same step count. Runs are capped by a work budget so the suite stays
-// fast; the budget stop is a deterministic galois-level event that both
-// engines hit identically.
+// The differential equivalence suite: a run executed on a RunJobs worker
+// pool, next to identical copies of itself, must be byte-identical to
+// the same run executed alone on the calling goroutine — on every
+// benchmark x scheduler x seed: same RunSummary JSON and hash, same
+// folded profile, same timeline bytes, same step count. Runs are capped
+// by a work budget so the suite stays fast.
 
-// equivWorkers are the pinned worker counts from the acceptance
-// criteria; 1 exercises the epoch machinery without host concurrency.
-var equivWorkers = []int{1, 2, 8}
+// equivCopies is how many copies of a job share the pool; equivWorkers
+// is the pool width, so every copy runs concurrently with the others.
+const (
+	equivCopies  = 4
+	equivWorkers = 4
+)
 
 type engineArtifacts struct {
 	summary  []byte
@@ -30,12 +31,7 @@ type engineArtifacts struct {
 	simSteps int64
 }
 
-func artifactsFor(t *testing.T, spec kernels.Spec, o Options) engineArtifacts {
-	t.Helper()
-	run, err := Run(spec, o)
-	if err != nil {
-		t.Fatalf("%s/%s (intra-jobs %d): %v", spec.Name, o.Scheduler, o.IntraJobs, err)
-	}
+func artifactsOf(run *stats.Run) engineArtifacts {
 	a := engineArtifacts{
 		summary:  run.Summary().JSON(),
 		hash:     run.Summary().Hash(),
@@ -70,245 +66,36 @@ func TestEquivalenceSerialParallel(t *testing.T) {
 						Profile:    true,
 						Prefetch:   sched == "minnow",
 					}
-					base := artifactsFor(t, spec, o)
-					for _, w := range equivWorkers {
-						po := o
-						po.IntraJobs = w
-						po.EpochWindow = 2048
-						got := artifactsFor(t, spec, po)
+					run, err := Run(spec, o)
+					if err != nil {
+						t.Fatalf("%s/%s serial: %v", spec.Name, sched, err)
+					}
+					base := artifactsOf(run)
+					jobs := make([]Job, equivCopies)
+					for i := range jobs {
+						jobs[i] = Job{Bench: spec.Name, Opts: o}
+					}
+					for i, res := range RunJobs(jobs, equivWorkers) {
+						if res.Err != nil {
+							t.Fatalf("copy %d: %v", i, res.Err)
+						}
+						got := artifactsOf(res.Run)
 						if got.hash != base.hash || !bytes.Equal(got.summary, base.summary) {
-							t.Fatalf("workers=%d: RunSummary diverges from serial\nserial: %s\nparallel: %s",
-								w, base.summary, got.summary)
+							t.Fatalf("copy %d: RunSummary diverges from serial\nserial: %s\nparallel: %s",
+								i, base.summary, got.summary)
 						}
 						if got.simSteps != base.simSteps {
-							t.Errorf("workers=%d: sim steps diverge: serial %d, parallel %d", w, base.simSteps, got.simSteps)
+							t.Errorf("copy %d: sim steps diverge: serial %d, parallel %d", i, base.simSteps, got.simSteps)
 						}
 						if got.folded != base.folded {
-							t.Errorf("workers=%d: folded profile diverges from serial", w)
+							t.Errorf("copy %d: folded profile diverges from serial", i)
 						}
 						if !bytes.Equal(got.timeline, base.timeline) {
-							t.Errorf("workers=%d: timeline bytes diverge from serial", w)
+							t.Errorf("copy %d: timeline bytes diverge from serial", i)
 						}
 					}
 				})
 			}
 		}
-	}
-}
-
-// TestSharedHorizonEquivalence re-runs the differential suite with
-// conservative-lookahead horizons on: every benchmark x scheduler,
-// serial vs workers {1,2,8}, summary/steps/folded/timeline bytes all
-// identical. The serial baseline also has SharedHorizons set — the flag
-// changes the step schedule (idle waits split in two), so equivalence is
-// asserted within the flag, exactly as operators compare runs.
-func TestSharedHorizonEquivalence(t *testing.T) {
-	specs := append(kernels.Suite(), kernels.Extensions()...)
-	scheds := []string{"obim", "minnow"}
-	for _, spec := range specs {
-		for _, sched := range scheds {
-			spec, sched := spec, sched
-			t.Run(fmt.Sprintf("%s/%s", spec.Name, sched), func(t *testing.T) {
-				t.Parallel()
-				o := Options{
-					Threads:        4,
-					Scheduler:      sched,
-					WorkBudget:     1000,
-					SkipVerify:     true,
-					Timeline:       true,
-					Profile:        true,
-					Prefetch:       sched == "minnow",
-					SharedHorizons: true,
-				}
-				base := artifactsFor(t, spec, o)
-				for _, w := range equivWorkers {
-					po := o
-					po.IntraJobs = w
-					po.EpochWindow = 2048
-					got := artifactsFor(t, spec, po)
-					if got.hash != base.hash || !bytes.Equal(got.summary, base.summary) {
-						t.Fatalf("workers=%d: RunSummary diverges from serial\nserial: %s\nparallel: %s",
-							w, base.summary, got.summary)
-					}
-					if got.simSteps != base.simSteps {
-						t.Errorf("workers=%d: sim steps diverge: serial %d, parallel %d", w, base.simSteps, got.simSteps)
-					}
-					if got.folded != base.folded {
-						t.Errorf("workers=%d: folded profile diverges from serial", w)
-					}
-					if !bytes.Equal(got.timeline, base.timeline) {
-						t.Errorf("workers=%d: timeline bytes diverge from serial", w)
-					}
-				}
-			})
-		}
-	}
-}
-
-// TestSharedHorizonCoverage pins the tentpole's payoff AND the sparse-
-// schedule probe fix in one configuration: a shared-machine 64-core
-// Minnow run (no isolated copies) with interval sampling. The hardware
-// worklist is the one scheduler whose pops can fail while tasks are
-// still in flight between engines — a software worklist is empty only
-// when nothing is outstanding, so workers retire instead of idling —
-// which makes it the configuration where idle backoffs (the private
-// steps the horizons expose) actually occur. The bound phase must
-// engage, and the interval-CSV bytes — whose rows fire at probe
-// boundaries that idle gaps can jump several at a time — must match the
-// serial engine exactly, along with the summary, at every worker count.
-func TestSharedHorizonCoverage(t *testing.T) {
-	spec, err := kernels.SpecByName("SSSP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := Options{
-		Threads:        64,
-		Scheduler:      "minnow",
-		Prefetch:       true,
-		WorkBudget:     600,
-		SkipVerify:     true,
-		MetricsEvery:   512,
-		SharedHorizons: true,
-	}
-	base, err := Run(spec, o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.BoundSteps != 0 {
-		t.Fatalf("serial run reported %d bound steps", base.BoundSteps)
-	}
-	baseSum := base.Summary().JSON()
-	baseCSV := base.Intervals.CSV()
-	if baseCSV == "" {
-		t.Fatal("interval sampling produced no rows; the regression vector is empty")
-	}
-	for _, w := range equivWorkers {
-		po := o
-		po.IntraJobs = w
-		got, err := Run(spec, po)
-		if err != nil {
-			t.Fatalf("intra-jobs %d: %v", w, err)
-		}
-		if got.BoundSteps == 0 {
-			t.Errorf("intra-jobs %d: bound phase never engaged on the shared machine", w)
-		}
-		if !bytes.Equal(got.Summary().JSON(), baseSum) {
-			t.Fatalf("intra-jobs %d: summary diverges\nserial: %s\nparallel: %s",
-				w, baseSum, got.Summary().JSON())
-		}
-		if csv := got.Intervals.CSV(); csv != baseCSV {
-			t.Fatalf("intra-jobs %d: interval CSV diverges from serial\nserial:\n%s\nparallel:\n%s", w, baseCSV, csv)
-		}
-	}
-	// Without the flag the shared machine has no bound-eligible steps at
-	// all — the baseline this PR exists to beat.
-	off := o
-	off.SharedHorizons = false
-	off.IntraJobs = 8
-	offRun, err := Run(spec, off)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if offRun.BoundSteps != 0 {
-		t.Errorf("flag off: expected a fully woven shared machine, got %d bound steps", offRun.BoundSteps)
-	}
-}
-
-// TestRateEquivalence pins the configuration where the bound phase does
-// real work: isolated SPECrate-style copies. Per-copy summaries, total
-// steps, and wall cycles must match the serial schedule bit-for-bit at
-// every worker count, and the bound phase must actually engage.
-func TestRateEquivalence(t *testing.T) {
-	spec, err := kernels.SpecByName("SSSP")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, sched := range []string{"obim", "fifo"} {
-		sched := sched
-		t.Run(sched, func(t *testing.T) {
-			t.Parallel()
-			o := Options{Scheduler: sched, WorkBudget: 800, SkipVerify: true}
-			const copies = 4
-			base, err := RunRate(spec, o, copies)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if base.BoundSteps != 0 {
-				t.Fatalf("serial rate run reported %d bound steps", base.BoundSteps)
-			}
-			baseSums := make([][]byte, copies)
-			for i, r := range base.Runs {
-				baseSums[i] = r.Summary().JSON()
-			}
-			for _, w := range equivWorkers {
-				po := o
-				po.IntraJobs = w
-				got, err := RunRate(spec, po, copies)
-				if err != nil {
-					t.Fatalf("intra-jobs %d: %v", w, err)
-				}
-				if got.SimSteps != base.SimSteps || got.WallCycles != base.WallCycles {
-					t.Fatalf("intra-jobs %d: steps/wall diverge: serial (%d,%d), parallel (%d,%d)",
-						w, base.SimSteps, base.WallCycles, got.SimSteps, got.WallCycles)
-				}
-				if got.BoundSteps == 0 {
-					t.Errorf("intra-jobs %d: bound phase never engaged on isolated copies", w)
-				}
-				for i, r := range got.Runs {
-					if !bytes.Equal(r.Summary().JSON(), baseSums[i]) {
-						t.Fatalf("intra-jobs %d: copy %d summary diverges\nserial: %s\nparallel: %s",
-							w, i, baseSums[i], r.Summary().JSON())
-					}
-				}
-			}
-		})
-	}
-}
-
-func TestRateRejectsUnsupported(t *testing.T) {
-	spec, err := kernels.SpecByName("BFS")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := RunRate(spec, Options{Scheduler: "minnow"}, 2); err == nil || !strings.Contains(err.Error(), "software scheduler") {
-		t.Errorf("rate with minnow scheduler: got %v, want software-scheduler error", err)
-	}
-	if _, err := RunRate(spec, Options{Scheduler: "fifo", Timeline: true}, 2); err == nil || !strings.Contains(err.Error(), "bare timing") {
-		t.Errorf("rate with timeline: got %v, want bare-timing error", err)
-	}
-}
-
-func TestSplitBudget(t *testing.T) {
-	if jobs, intra := SplitBudget(3, 5); jobs != 3 || intra != 5 {
-		t.Errorf("explicit values must pass through: got (%d,%d)", jobs, intra)
-	}
-	if jobs, intra := SplitBudget(0, 0); jobs < 1 || intra != 0 {
-		t.Errorf("auto jobs with serial engine: got (%d,%d), want (>=1,0)", jobs, intra)
-	}
-	jobsWide, _ := SplitBudget(0, 1)
-	jobsSplit, _ := SplitBudget(0, 4)
-	if jobsSplit > jobsWide {
-		t.Errorf("intra width must shrink the auto jobs budget: %d > %d", jobsSplit, jobsWide)
-	}
-	// Oversubscription: when the per-run worker width meets or exceeds
-	// the whole host budget, the job count must clamp to 1, never 0 —
-	// a 0-job schedule would silently run nothing.
-	ncpu := runtime.NumCPU()
-	for _, tc := range []struct {
-		name      string
-		intraJobs int
-	}{
-		{"width == NumCPU", ncpu},
-		{"width > NumCPU", ncpu * 4},
-		{"width absurd", ncpu * 1000},
-	} {
-		if jobs, intra := SplitBudget(0, tc.intraJobs); jobs < 1 || intra != tc.intraJobs {
-			t.Errorf("%s: got (%d,%d), want (>=1,%d)", tc.name, jobs, intra, tc.intraJobs)
-		}
-	}
-	// Negative widths normalize to the serial engine rather than
-	// corrupting the division.
-	if jobs, intra := SplitBudget(0, -3); jobs < 1 || intra != 0 {
-		t.Errorf("negative intra width: got (%d,%d), want (>=1,0)", jobs, intra)
 	}
 }

@@ -129,31 +129,6 @@ type Options struct {
 	// completes (the cancel-inert test pins byte-identical summaries
 	// with a never-firing hook installed).
 	Cancel func() bool
-
-	// IntraJobs selects the simulation kernel's execution mode: 0 (the
-	// default) runs the classic serial engine; n >= 1 runs the epoch-based
-	// bound/weave engine (sim.Engine.RunParallel) with n host workers
-	// stepping provably independent actors concurrently inside each
-	// epoch. IntraJobs = 1 exercises the full epoch machinery without
-	// host concurrency. Output is byte-identical to serial mode for any
-	// value — the equivalence suite pins this. Splits the host-thread
-	// budget with the run-level -jobs fan-out; see SplitBudget.
-	IntraJobs int
-	// EpochWindow is the bound/weave epoch length in cycles when
-	// IntraJobs >= 1 (0 = sim.DefaultEpochWindow). Any value produces
-	// identical output; it only trades partition overhead against
-	// bound-phase batch size.
-	EpochWindow int64
-	// SharedHorizons turns on conservative-lookahead horizons for
-	// shared-machine workers (galois.Config.SharedHorizons): idle
-	// backoffs become private steps that RunParallel can bound-step
-	// concurrently, so a single big run parallelizes instead of only
-	// RunRate's isolated copies. It changes the step schedule (idle
-	// waits split in two), so summaries are comparable only among runs
-	// with the same setting; within a setting, output stays byte-identical
-	// across IntraJobs values — the shared-horizon equivalence suite
-	// pins it.
-	SharedHorizons bool
 }
 
 // withDefaults fills zero values.
@@ -325,7 +300,6 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 		SplitThreshold: o.SplitThreshold,
 		WorkBudget:     o.WorkBudget,
 		Serial:         o.Serial,
-		SharedHorizons: o.SharedHorizons,
 	}
 	runner := galois.NewRunner(cfg, cores, sched, kern, kern.Graph().Degree)
 	if arr != nil {
@@ -352,7 +326,7 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 	if arr != nil && len(arr.events) > 0 {
 		// Registered after workers and engines so that at a shared
 		// instant the injection step runs last — an arrival never
-		// preempts same-cycle machine work. Wakes from its weave step
+		// preempts same-cycle machine work. Wakes from its step
 		// re-arm retired workers per the engine's wake-during-step
 		// contract.
 		arr.wakeWorkers = func(at sim.Time) {
@@ -368,7 +342,7 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 
 	wd := installWatchdog(eng, o, inj, runner, arr)
 
-	drained := runEngine(eng, o)
+	_, drained := eng.Run(o.MaxSteps)
 	if eng.Canceled() {
 		return nil, fmt.Errorf("harness: %s/%s: %w at cycle %d after %d steps",
 			spec.Name, o.Scheduler, ErrCanceled, eng.Now(), eng.Steps())
@@ -399,7 +373,6 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 		run.Latency = arr.latencyStats()
 	}
 	run.SimSteps = eng.Steps()
-	run.BoundSteps = eng.BoundSteps()
 	if len(engines) > 0 {
 		run.Trace = engines[0].Trace
 	}
@@ -418,20 +391,6 @@ func Run(spec kernels.Spec, o Options) (*stats.Run, error) {
 		}
 	}
 	return run, nil
-}
-
-// runEngine drains the simulation with the execution mode Options
-// selects: the serial engine, or the epoch-based bound/weave engine with
-// IntraJobs host workers. The two are byte-identical on every drained
-// run (the differential equivalence suite pins it), so everything after
-// this call is mode-agnostic.
-func runEngine(eng *sim.Engine, o Options) bool {
-	if o.IntraJobs <= 0 {
-		_, drained := eng.Run(o.MaxSteps)
-		return drained
-	}
-	_, drained := eng.RunParallel(o.MaxSteps, sim.Time(o.EpochWindow), o.IntraJobs)
-	return drained
 }
 
 // collect assembles the stats.Run from all components.

@@ -14,13 +14,6 @@
 // fixes, so hit/miss outcomes and latencies reproduce exactly. The
 // timeline hooks (System.TL) observe misses and writebacks as they are
 // timed; they never alter replacement or coherence decisions.
-//
-// Bound/weave placement: a System is a weave-serialized shared resource.
-// Every Access — including an L1 hit — mutates state visible to all
-// cores (latency accounting, directory and replacement metadata, bank
-// reservations), so any actor that can reach a shared System inside an
-// epoch has interaction horizon 0 in sim.Engine.RunParallel; only the
-// (time, ID)-ordered weave may call into it.
 package mem
 
 import "minnow/internal/sim"

@@ -68,14 +68,6 @@ type ConfigSpec struct {
 	// MaxCycles halts runs past this simulated-cycle bound (the per-job
 	// timeout; 0 adopts the server's -job-max-cycles default).
 	MaxCycles int64 `json:",omitempty"`
-	// IntraJobs selects bound/weave workers inside the simulation (0
-	// adopts the server's -intra-jobs default; output is byte-identical
-	// for every value).
-	IntraJobs int `json:",omitempty"`
-	// EpochWindow sets the bound/weave epoch length in cycles.
-	EpochWindow int64 `json:",omitempty"`
-	// SharedHorizons enables conservative-lookahead horizons.
-	SharedHorizons bool `json:",omitempty"`
 }
 
 // specFromConfig converts a resolved configuration back to the wire
@@ -110,9 +102,6 @@ func specFromConfig(cfg minnow.Config) ConfigSpec {
 		Arrivals:       cfg.Arrivals,
 		Invariants:     cfg.Invariants,
 		MaxCycles:      cfg.MaxCycles,
-		IntraJobs:      cfg.IntraJobs,
-		EpochWindow:    cfg.EpochWindow,
-		SharedHorizons: cfg.SharedHorizons,
 	}
 }
 
@@ -143,9 +132,6 @@ func (c ConfigSpec) ToConfig() minnow.Config {
 		Arrivals:       c.Arrivals,
 		Invariants:     c.Invariants,
 		MaxCycles:      c.MaxCycles,
-		IntraJobs:      c.IntraJobs,
-		EpochWindow:    c.EpochWindow,
-		SharedHorizons: c.SharedHorizons,
 	}
 }
 
@@ -222,9 +208,6 @@ type keyDoc struct {
 	// MaxCycles is the resolved watchdog cycle bound (after the server's
 	// default is applied), since it can change a run's outcome.
 	MaxCycles int64 `json:"max_cycles"`
-	// SharedHorizons mirrors Config.SharedHorizons: it changes the step
-	// schedule, so it keys separately.
-	SharedHorizons bool `json:"shared_horizons"`
 }
 
 // CacheKey computes the content-address of a validated configuration:
@@ -236,12 +219,10 @@ type keyDoc struct {
 //     Credits 0→32, MemChannels 0→12, and Scheduler ""→"obim" ("minnow"
 //     whenever Config.Minnow is set), so an explicit default and an
 //     omitted field address the same entry.
-//   - Host-only knobs are excluded: IntraJobs and EpochWindow carry the
-//     bound/weave engine's byte-identical-output guarantee, so they can
-//     never change a result. (The function hooks — Cancel, OnSample,
-//     CustomPrefetch — have no wire form at all: a canceled run never
-//     produces a result to cache, and a run the hooks never fire on is
-//     byte-identical to one without them.)
+//   - Host hooks are excluded: Cancel, OnSample, and CustomPrefetch have
+//     no wire form at all. A canceled run never produces a result to
+//     cache, and a run the hooks never fire on is byte-identical to one
+//     without them.
 //   - Observe-only knobs are excluded: TraceEvents, MetricsEvery,
 //     Timeline, and Profile are provably inert on the RunSummary (the
 //     obs test suites pin it). Artifact-bearing requests that miss an
@@ -250,13 +231,14 @@ type keyDoc struct {
 //   - SkipVerify is excluded: it only affects whether a failed
 //     verification surfaces as an error, and errors are never cached.
 //   - Everything else — including Faults and Arrivals (their plan seeds
-//     included), MaxCycles, and SharedHorizons — participates, because
-//     each can change the deterministic outcome.
+//     included) and MaxCycles — participates, because each can change
+//     the deterministic outcome.
 func CacheKey(bench string, cfg minnow.Config) (key string, doc []byte) {
 	d := keyDoc{
-		// V bumped 1→2 when the arrivals field joined the document; old
-		// entries re-key rather than colliding with open-loop runs.
-		V:     2,
+		// V bumped 1→2 when the arrivals field joined the document, and
+		// 2→3 when shared_horizons left it; old entries re-key rather
+		// than colliding with documents of another shape.
+		V:     3,
 		Bench: bench,
 
 		Threads:        resolve(cfg.Threads, 8),
@@ -277,7 +259,6 @@ func CacheKey(bench string, cfg minnow.Config) (key string, doc []byte) {
 		Arrivals:       cfg.Arrivals,
 		Invariants:     cfg.Invariants,
 		MaxCycles:      cfg.MaxCycles,
-		SharedHorizons: cfg.SharedHorizons,
 	}
 	if d.Seed == 0 {
 		d.Seed = 42

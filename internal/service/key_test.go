@@ -3,6 +3,7 @@ package service
 import (
 	"container/heap"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"minnow"
@@ -23,41 +24,97 @@ func TestCacheKeyDefaultResolution(t *testing.T) {
 	}
 }
 
-// TestCacheKeyExclusions pins which knobs are excluded: host-only
-// (IntraJobs/EpochWindow) and observe-only (TraceEvents, MetricsEvery,
-// Timeline, Profile) fields must not fragment the cache, while
-// outcome-affecting fields must key separately.
+// keyClass says how a minnow.Config field relates to the cache key.
+type keyClass int
+
+const (
+	semantic    keyClass = iota // can change the result: must reach the key
+	observeOnly                 // provably inert on RunSummary: excluded
+	hostHook                    // function hook with no wire form: excluded
+	skipVerify                  // only decides whether a failed check errors: excluded
+)
+
+// configFields classifies every minnow.Config field exactly once, with a
+// setter that moves the field off its default.
+var configFields = []struct {
+	name  string
+	class keyClass
+	set   func(*minnow.Config)
+}{
+	{"Threads", semantic, func(c *minnow.Config) { c.Threads = 16 }},
+	{"Scale", semantic, func(c *minnow.Config) { c.Scale = 2 }},
+	{"Seed", semantic, func(c *minnow.Config) { c.Seed = 7 }},
+	{"Minnow", semantic, func(c *minnow.Config) { c.Minnow = true }},
+	{"Prefetch", semantic, func(c *minnow.Config) { c.Prefetch = true }},
+	{"Credits", semantic, func(c *minnow.Config) { c.Credits = 16 }},
+	{"Scheduler", semantic, func(c *minnow.Config) { c.Scheduler = "fifo" }},
+	{"LgInterval", semantic, func(c *minnow.Config) { lg := uint(3); c.LgInterval = &lg }},
+	{"HWPrefetcher", semantic, func(c *minnow.Config) { c.HWPrefetcher = "stride" }},
+	{"SplitThreshold", semantic, func(c *minnow.Config) { c.SplitThreshold = 512 }},
+	{"WorkBudget", semantic, func(c *minnow.Config) { c.WorkBudget = 1000 }},
+	{"Serial", semantic, func(c *minnow.Config) { c.Serial = true }},
+	{"MemChannels", semantic, func(c *minnow.Config) { c.MemChannels = 4 }},
+	{"PerfectBP", semantic, func(c *minnow.Config) { c.PerfectBP = true }},
+	{"NoFences", semantic, func(c *minnow.Config) { c.NoFences = true }},
+	{"CustomPrefetch", hostHook, func(c *minnow.Config) {
+		c.CustomPrefetch = func(minnow.Task, minnow.GraphView, func(...uint64)) {}
+	}},
+	{"SkipVerify", skipVerify, func(c *minnow.Config) { c.SkipVerify = true }},
+	{"TraceEvents", observeOnly, func(c *minnow.Config) { c.TraceEvents = 64 }},
+	{"MetricsEvery", observeOnly, func(c *minnow.Config) { c.MetricsEvery = 10000 }},
+	{"Timeline", observeOnly, func(c *minnow.Config) { c.Timeline = true }},
+	{"Profile", observeOnly, func(c *minnow.Config) { c.Profile = true }},
+	{"OnSample", hostHook, func(c *minnow.Config) { c.OnSample = func(int64, string) {} }},
+	{"Cancel", hostHook, func(c *minnow.Config) { c.Cancel = func() bool { return false } }},
+	{"Faults", semantic, func(c *minnow.Config) { c.Faults = "transient" }},
+	{"Arrivals", semantic, func(c *minnow.Config) { c.Arrivals = "steady" }},
+	{"Invariants", semantic, func(c *minnow.Config) { c.Invariants = true }},
+	{"MaxCycles", semantic, func(c *minnow.Config) { c.MaxCycles = 1 << 20 }},
+}
+
+// TestCacheKeyExclusions pins the key classification of every
+// minnow.Config field: the table above must list exactly the struct's
+// fields, each semantic field set off its default must change the key,
+// and each excluded field (observe-only, host hook, SkipVerify) must
+// not. A new Config field fails here until it is classified, so it can
+// never silently miss the key.
 func TestCacheKeyExclusions(t *testing.T) {
-	base, _ := CacheKey("BFS", minnow.Config{Minnow: true, Prefetch: true})
-	same := []minnow.Config{
-		{Minnow: true, Prefetch: true, IntraJobs: 4},
-		{Minnow: true, Prefetch: true, IntraJobs: 2, EpochWindow: 1024},
-		{Minnow: true, Prefetch: true, TraceEvents: 64},
-		{Minnow: true, Prefetch: true, MetricsEvery: 10000},
-		{Minnow: true, Prefetch: true, Timeline: true},
-		{Minnow: true, Prefetch: true, Profile: true},
-		{Minnow: true, Prefetch: true, SkipVerify: true},
+	classified := map[string]bool{}
+	for _, f := range configFields {
+		if classified[f.name] {
+			t.Errorf("field %s classified twice", f.name)
+		}
+		classified[f.name] = true
 	}
-	for i, cfg := range same {
-		if k, _ := CacheKey("BFS", cfg); k != base {
-			t.Errorf("case %d: inert knob changed the key", i)
+	present := map[string]bool{}
+	for _, f := range reflect.VisibleFields(reflect.TypeOf(minnow.Config{})) {
+		present[f.Name] = true
+		if !classified[f.Name] {
+			t.Errorf("minnow.Config.%s has no cache-key class; add it to configFields", f.Name)
 		}
 	}
-	diff := []minnow.Config{
-		{Minnow: true, Prefetch: true, Seed: 7},
-		{Minnow: true, Prefetch: true, MaxCycles: 1 << 20},
-		{Minnow: true, Prefetch: true, SharedHorizons: true},
-		{Minnow: true, Prefetch: true, Faults: "transient"},
-		{Minnow: true, Prefetch: true, Arrivals: "steady"},
-		{Minnow: true, Prefetch: true, Invariants: true},
-		{Minnow: true},
-	}
-	for i, cfg := range diff {
-		if k, _ := CacheKey("BFS", cfg); k == base {
-			t.Errorf("case %d: outcome-affecting knob did not change the key", i)
+	for name := range classified {
+		if !present[name] {
+			t.Errorf("configFields lists %s, which minnow.Config no longer has", name)
 		}
 	}
-	if k, _ := CacheKey("CC", minnow.Config{Minnow: true, Prefetch: true}); k == base {
+
+	base, _ := CacheKey("BFS", minnow.Config{})
+	for _, f := range configFields {
+		var cfg minnow.Config
+		f.set(&cfg)
+		if reflect.ValueOf(cfg).FieldByName(f.name).IsZero() {
+			t.Fatalf("%s: setter left the field at its zero value", f.name)
+		}
+		k, _ := CacheKey("BFS", cfg)
+		if f.class == semantic && k == base {
+			t.Errorf("%s: outcome-affecting field did not change the key", f.name)
+		}
+		if f.class != semantic && k != base {
+			t.Errorf("%s: excluded field changed the key", f.name)
+		}
+	}
+	if k, _ := CacheKey("CC", minnow.Config{}); k == base {
 		t.Error("benchmark name did not change the key")
 	}
 }
@@ -89,7 +146,7 @@ func TestCacheKeyDocRoundTrips(t *testing.T) {
 	if err := json.Unmarshal(doc, &m); err != nil {
 		t.Fatalf("key doc is not JSON: %v", err)
 	}
-	if m["threads"] != float64(8) || m["lg_interval"] != float64(3) || m["v"] != float64(2) {
+	if m["threads"] != float64(8) || m["lg_interval"] != float64(3) || m["v"] != float64(3) {
 		t.Fatalf("key doc fields not resolved: %v", m)
 	}
 }
@@ -97,9 +154,7 @@ func TestCacheKeyDocRoundTrips(t *testing.T) {
 // TestCacheKeyArrivals pins the open-loop additions: the arrival plan
 // keys verbatim (two plans differing only in their seed clause are
 // different deterministic outcomes, so they must address different
-// entries), and the document version is 2 — the canonicalization
-// changed when the arrivals field joined, so pre-arrival entries
-// re-key instead of colliding.
+// entries).
 func TestCacheKeyArrivals(t *testing.T) {
 	closed, _ := CacheKey("SSSP", minnow.Config{Minnow: true, Prefetch: true})
 	a, _ := CacheKey("SSSP", minnow.Config{Minnow: true, Prefetch: true, Arrivals: "seed=1;poisson:gap=600,count=400"})

@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"minnow"
+	"minnow/internal/harness"
 	"minnow/internal/service/cache"
 	"minnow/internal/service/journal"
 	"minnow/internal/service/tracing"
@@ -45,16 +46,11 @@ const replayTerminalCap = 4096
 const maxTraceCheckpoints = 512
 
 // Config parameterizes a Server. The zero value is a working
-// memory-cached server sized by minnow.SplitBudget.
+// memory-cached server with one shard per GOMAXPROCS.
 type Config struct {
 	// Shards is the worker pool width: how many simulations run
-	// concurrently. 0 resolves via minnow.SplitBudget against IntraJobs
-	// so shards × intra-jobs roughly fills the machine.
+	// concurrently. 0 resolves to GOMAXPROCS, like the CLIs' -jobs 0.
 	Shards int
-	// IntraJobs is applied to submitted configs that leave IntraJobs 0:
-	// bound/weave workers inside each simulation. Host-only — never
-	// changes results or cache keys.
-	IntraJobs int
 	// CacheDir persists the result cache under this directory so it
 	// survives restarts; "" keeps the cache in memory only. An unusable
 	// directory degrades the cache to memory-only instead of failing
@@ -295,8 +291,7 @@ type Server struct {
 // serving completed ones from the cache — and starts the worker shards.
 // Callers serve its Handler and eventually call Shutdown.
 func New(cfg Config) (*Server, error) {
-	shards, intra := minnow.SplitBudget(cfg.Shards, cfg.IntraJobs)
-	cfg.IntraJobs = intra
+	shards := harness.Workers(cfg.Shards)
 	if cfg.QueueLimit <= 0 {
 		cfg.QueueLimit = 65536
 	}
@@ -604,16 +599,13 @@ func (s *Server) Submit(spec JobSpec) (JobView, error) {
 	cfg := spec.Config.ToConfig()
 	// Server-side defaults: the per-job watchdog timeout participates in
 	// the cache key (it can change outcomes), so it is resolved before
-	// hashing; the sampling cadence and bound/weave width are inert and
-	// resolved purely for operational quality.
+	// hashing; the sampling cadence is inert and resolved purely for
+	// operational quality.
 	if cfg.MaxCycles == 0 {
 		cfg.MaxCycles = s.cfg.MaxCycles
 	}
 	if cfg.MetricsEvery == 0 {
 		cfg.MetricsEvery = s.cfg.ProgressEvery
-	}
-	if cfg.IntraJobs == 0 {
-		cfg.IntraJobs = s.cfg.IntraJobs
 	}
 	if err := cfg.Validate(); err != nil {
 		return JobView{}, &RequestError{Code: 400, Msg: err.Error()}
@@ -887,7 +879,7 @@ func (s *Server) cancelJobLocked(j *job, reason string) {
 // must have stamped j.doneAt.
 func (s *Server) observeTerminalLocked(j *job, status string) {
 	d := j.doneAt.Sub(j.queuedAt)
-	s.m.observe(status, d)
+	s.m.observe(status)
 	outcome := cacheOutcome(j)
 	s.hSojourn.Observe(d.Seconds(), status, outcome)
 	if !j.startedAt.IsZero() {

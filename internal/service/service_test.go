@@ -9,6 +9,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -501,5 +502,20 @@ func TestFailedJobReportsError(t *testing.T) {
 	}
 	if failed := metric(t, s.MetricsText(), `minnowd_jobs_total{status="failed"}`); failed != 1 {
 		t.Fatalf("failed counter = %v, want 1", failed)
+	}
+}
+
+// TestShardsFollowGOMAXPROCS pins how Shards 0 resolves: to GOMAXPROCS,
+// the threads the runtime will actually run, as the CLIs' -jobs 0 does —
+// not to the host's CPU count. An explicit Shards is kept as given.
+func TestShardsFollowGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	s, _ := newTestServer(t, Config{})
+	if got := s.Shards(); got != 1 {
+		t.Fatalf("Shards 0 under GOMAXPROCS(1) resolved to %d shards, want 1", got)
+	}
+	s3, _ := newTestServer(t, Config{Shards: 3})
+	if got := s3.Shards(); got != 3 {
+		t.Fatalf("explicit Shards 3 resolved to %d", got)
 	}
 }

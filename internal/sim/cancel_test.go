@@ -100,23 +100,3 @@ func TestCanceledClearsOnNextRun(t *testing.T) {
 		t.Fatalf("Canceled() sticky across Run")
 	}
 }
-
-func TestCancelStopsRunParallel(t *testing.T) {
-	for _, workers := range []int{1, 2, 4} {
-		e := NewEngine()
-		id := e.Register(&spinActor{})
-		e.Wake(id, 0)
-		polls := 0
-		e.SetCancel(10, func() bool {
-			polls++
-			return polls >= 2
-		})
-		_, drained := e.RunParallel(0, 0, workers)
-		if drained {
-			t.Fatalf("workers=%d: cancel reported as drain", workers)
-		}
-		if !e.Canceled() {
-			t.Fatalf("workers=%d: Canceled() false after cancel fired", workers)
-		}
-	}
-}

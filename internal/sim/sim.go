@@ -46,20 +46,6 @@
 // whether or not a (never-firing) cancel hook was installed, which is
 // what lets a service arm the hook on every job without perturbing
 // results.
-//
-// Concurrent stepping: RunParallel executes the same schedule as Run in
-// fixed-size epochs, stepping actors that prove (via the optional
-// BoundedActor interface) that they cannot interact inside the epoch on a
-// host worker pool, and weaving everything else serially in (time, ID)
-// order. The determinism contract extends unchanged to this mode: for
-// runs that drain (neither halted by the watchdog nor stopped by the step
-// bound), the frontier, step count, per-actor step sequence, and probe
-// callback sequence are bit-identical to Run for every worker count,
-// including 1. Actors that do not implement BoundedActor — or that return
-// a horizon at or before their next step — always weave, so the mode is
-// adoptable one actor type at a time and degrades to exactly the serial
-// behavior when no actor is bound-eligible. See parallel.go for the epoch
-// algorithm and the horizon contract.
 package sim
 
 import (
@@ -90,23 +76,7 @@ type entry struct {
 	at    Time
 	id    int
 	actor Actor
-	ba    BoundedActor // non-nil when the actor declares horizons
-	index int          // heap index, -1 when not queued
-
-	// Bound-phase bookkeeping, valid only while epoch == Engine.epoch.
-	// stepTimes records the local times of the steps this actor executed
-	// ahead of the weave during the current epoch's bound phase; Wake uses
-	// it to reconcile weave-phase wakes against already-executed history.
-	// safeUntil is min(declared horizon, epoch end) and is re-derived
-	// after every bound step from the actor's (dynamic) horizon; boundEnd
-	// pins the epoch end so a growing horizon can never escape the window.
-	epoch      int64
-	safeUntil  Time
-	boundEnd   Time
-	stepTimes  []Time
-	boundSteps int64
-	boundDone  bool
-	panicked   any
+	index int // heap index, -1 when not queued
 }
 
 type actorHeap []*entry
@@ -159,18 +129,11 @@ type Engine struct {
 	cnFn     func() bool // reports true to abandon the run; nil when disabled
 	canceled bool        // last Run was stopped by the cancel hook
 
-	// Parallel (bound/weave) execution state; see parallel.go. epoch is 0
-	// while no RunParallel epoch has ever started, so the per-Wake stamp
-	// check below short-circuits to a single comparison in serial runs.
-	epoch      int64 // current epoch stamp; entries carry the stamp they were bound under
-	inBound    bool  // a bound phase is executing; Engine methods are off-limits
-	steppingID int   // ID of the weave actor currently stepping (-1 outside a weave step)
-	boundTotal int64 // steps executed in bound phases (subset of steps)
 }
 
 // NewEngine returns an empty engine at time zero.
 func NewEngine() *Engine {
-	return &Engine{probeAt: timeMax, steppingID: -1}
+	return &Engine{probeAt: timeMax}
 }
 
 // SetProbe installs fn to be called with each crossed boundary time
@@ -204,11 +167,9 @@ func (e *Engine) fireProbe() {
 }
 
 // advanceFrontier moves the frontier forward to at (never backwards),
-// replaying every probe boundary the jump crossed. This is the single
-// frontier-advance path shared by the serial loop, the parallel epoch
-// open, and the weave loop: a sparse schedule whose idle gap skips
-// several boundaries at once fires the same per-boundary callback
-// sequence no matter which execution mode crossed the gap.
+// replaying every probe boundary the jump crossed, so a sparse schedule
+// whose idle gap skips several boundaries at once still fires one
+// callback per boundary.
 func (e *Engine) advanceFrontier(at Time) {
 	if at > e.now {
 		e.now = at
@@ -239,8 +200,7 @@ func (e *Engine) SetWatchdog(every int64, fn func() bool) {
 func (e *Engine) Halted() bool { return e.halted }
 
 // SetCancel installs fn to be polled once every `every` actor steps
-// during Run (and RunParallel, which polls at epoch boundaries and per
-// weave step on the same step-count cadence). If fn returns true the run
+// during Run. If fn returns true the run
 // stops cleanly between steps: Run returns (Now(), false) and Canceled()
 // reports true until the next Run. The hook is read-only — it must not
 // wake actors or mutate simulation state — so an installed hook that
@@ -290,38 +250,19 @@ func (e *Engine) Queued() []QueuedActor {
 }
 
 // Register adds an actor and returns its ID. The actor is initially
-// dormant; call Wake to schedule its first step. If the actor also
-// implements BoundedActor its horizon is consulted by RunParallel; plain
-// actors always weave.
+// dormant; call Wake to schedule its first step.
 func (e *Engine) Register(a Actor) int {
 	id := len(e.entries)
-	ent := &entry{id: id, actor: a, index: -1}
-	ent.ba, _ = a.(BoundedActor)
-	e.entries = append(e.entries, ent)
+	e.entries = append(e.entries, &entry{id: id, actor: a, index: -1})
 	return id
 }
 
 // Wake (re-)schedules actor id to step at time at. If the actor is already
-// queued, it is rescheduled to min(current, at). Wake must not be called
-// from a bound-phase step (see BoundedActor); during a RunParallel weave
-// it additionally reconciles the wake against bound-phase history so the
-// outcome is exactly what the serial engine would have done.
+// queued, it is rescheduled to min(current, at).
 func (e *Engine) Wake(id int, at Time) {
-	if e.inBound {
-		panic("sim: Wake called during a bound phase — a BoundedActor interacted with the engine before its declared horizon")
-	}
 	ent := e.entries[id]
 	if at < e.now {
 		at = e.now
-	}
-	// Reconcile against bound-phase history whenever the entry still
-	// carries recorded run-ahead steps — not just when it was bound in
-	// the current epoch: an epoch can close early (the weave hands a
-	// freshly bound-eligible actor back to the partition), leaving a
-	// prior epoch's bound steps ahead of the frontier. History fully in
-	// the past resolves to regular handling inside resolveBoundWake.
-	if len(ent.stepTimes) > 0 && !e.resolveBoundWake(ent, at) {
-		return // absorbed: the serial schedule would have no-op'd this wake
 	}
 	if ent.index >= 0 {
 		if at < ent.at {

@@ -237,12 +237,6 @@ type Run struct {
 	WallCycles int64  // end-to-end simulated cycles
 	SimSteps   int64  // discrete-event actor steps executed by the scheduler
 	TimedOut   bool   // hit the work budget (Fig. 3 "timed out" bars)
-	// BoundSteps counts the SimSteps executed inside bound/weave bound
-	// phases — the concurrency the horizon declarations actually bought.
-	// It is a host-execution metric, not a simulated one: it varies with
-	// IntraJobs and EpochWindow while the simulated outcome stays
-	// byte-identical, so it is deliberately excluded from RunSummary.
-	BoundSteps int64
 
 	Cores   []CoreStats   // per-core breakdowns, indexed by core ID
 	L2      CacheStats    // aggregated over all L2s

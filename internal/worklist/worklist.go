@@ -14,14 +14,6 @@
 // caller's thread ID (the min-time actor ordering serializes concurrent
 // access), so worklist contents — including the Len the observability
 // occupancy gauge reads — are reproducible at every simulated instant.
-//
-// Bound/weave placement: a worklist's pop order is exactly the state the
-// (time, ID) actor ordering exists to serialize, so shared worklists are
-// weave-only under sim.Engine.RunParallel. A worker whose next step pops
-// therefore declares sim.HorizonAlwaysWeave — the explicit sentinel, not
-// a computed 0 — unless its worklist (and everything behind it) is a
-// private copy, or the step is a deferred idle backoff that touches no
-// worklist at all (galois.Config.SharedHorizons).
 package worklist
 
 import (

@@ -138,28 +138,6 @@ type Config struct {
 	// MaxCycles halts runs whose simulated clock passes this bound with a
 	// diagnostic snapshot instead of hanging (0 = a large default).
 	MaxCycles int64
-
-	// IntraJobs selects the simulation kernel's execution mode: 0 (the
-	// default) is the classic serial engine; n >= 1 runs the epoch-based
-	// bound/weave engine with n host workers stepping provably
-	// independent actors concurrently inside each epoch. Results are
-	// byte-identical for every value — the differential equivalence suite
-	// pins the contract — so this is purely a host-time knob.
-	IntraJobs int
-	// EpochWindow sets the bound/weave epoch length in cycles when
-	// IntraJobs >= 1 (0 selects the default). Like IntraJobs it never
-	// changes simulation output.
-	EpochWindow int64
-	// SharedHorizons enables conservative-lookahead horizons for
-	// shared-machine runs: idle worker backoffs become private steps the
-	// bound/weave engine can execute concurrently, so a single big
-	// simulation gains bound-phase coverage instead of only the
-	// isolated-copy rate harness. Unlike IntraJobs/EpochWindow this DOES
-	// change the step schedule (each idle wait splits into poll + wait),
-	// so results are comparable only among runs with the same setting;
-	// for a fixed setting output remains byte-identical across engines
-	// and worker counts.
-	SharedHorizons bool
 }
 
 // Validate rejects nonsensical configurations with a descriptive error
@@ -205,12 +183,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("minnow: Scheduler: %q conflicts with Minnow — the engine owns the worklist", c.Scheduler)
 	case c.OnSample != nil && c.MetricsEvery <= 0:
 		return fmt.Errorf("minnow: OnSample: fires at metrics-sample boundaries and requires MetricsEvery > 0")
-	case c.IntraJobs < 0:
-		return fmt.Errorf("minnow: IntraJobs: %d is negative (0 selects the serial engine, n >= 1 the bound/weave engine with n workers)", c.IntraJobs)
-	case c.EpochWindow < 0:
-		return fmt.Errorf("minnow: EpochWindow: %d is negative (0 selects the default window)", c.EpochWindow)
-	case c.EpochWindow > 0 && c.IntraJobs <= 0:
-		return fmt.Errorf("minnow: EpochWindow: tunes the bound/weave engine and requires IntraJobs >= 1")
 	}
 	switch c.Scheduler {
 	case "", "obim", "fifo", "lifo", "strictpq", "minnow":
@@ -244,17 +216,12 @@ type Result struct {
 	TimedOut   bool
 
 	// SimSteps is the number of discrete-event actor steps the run
-	// executed; BoundSteps is how many of them ran inside bound/weave
-	// bound phases (Config.IntraJobs >= 1) — the single-run concurrency
-	// Config.SharedHorizons buys. BoundSteps is a host-execution metric
-	// excluded from SummaryHash: it varies with IntraJobs/EpochWindow
-	// while the simulated outcome stays byte-identical.
-	SimSteps   int64
-	BoundSteps int64
+	// executed.
+	SimSteps int64
 
 	// SummaryHash is the sha256 fingerprint of the run's deterministic
-	// summary (stats.RunSummary) — the value the determinism and
-	// serial/parallel equivalence checks compare. Always non-empty.
+	// summary (stats.RunSummary) — the value the determinism and -jobs
+	// equivalence checks compare. Always non-empty.
 	SummaryHash string
 	// SummaryJSON is the canonical stats.RunSummary JSON the hash is
 	// computed over: the complete deterministic digest of the run (wall
@@ -344,16 +311,6 @@ type ClassLatency struct {
 	SojournP50, SojournP95, SojournP99 int64
 }
 
-// SplitBudget divides the host-thread budget between run-level
-// parallelism (jobs: independent runs in flight) and intra-run
-// parallelism (intraJobs: bound/weave workers inside each simulation).
-// A non-positive jobs resolves to NumCPU divided by the effective intra
-// width so jobs x intraJobs roughly fills the machine; intraJobs passes
-// through unchanged (0 keeps the serial engine).
-func SplitBudget(jobs, intraJobs int) (int, int) {
-	return harness.SplitBudget(jobs, intraJobs)
-}
-
 // Benchmarks lists the available workloads: the paper's Table-2 suite
 // plus extensions (currently KCORE, the §8 future-work demonstration).
 func Benchmarks() []string {
@@ -392,9 +349,6 @@ func (c Config) toOptions() (harness.Options, error) {
 		Cancel:         c.Cancel,
 		Invariants:     c.Invariants,
 		MaxCycles:      c.MaxCycles,
-		IntraJobs:      c.IntraJobs,
-		EpochWindow:    c.EpochWindow,
-		SharedHorizons: c.SharedHorizons,
 	}
 	if c.Minnow {
 		o.Scheduler = "minnow"
@@ -466,7 +420,6 @@ func resultFrom(benchmark string, r *stats.Run) *Result {
 		Tasks:              r.WorkItems,
 		TimedOut:           r.TimedOut,
 		SimSteps:           r.SimSteps,
-		BoundSteps:         r.BoundSteps,
 		SummaryHash:        summary.Hash(),
 		SummaryJSON:        summary.JSON(),
 		L2MPKI:             r.L2MPKI(),

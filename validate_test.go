@@ -72,12 +72,6 @@ func TestValidateErrorForm(t *testing.T) {
 			`minnow: Faults: invalid plan: fault: unknown clause "warp-core" (have engine-stall, engine-offline, noc-delay, dram-retry, spill-retry, credit-loss, seed)`},
 		{"arrivals", Config{Arrivals: "warp:gap=1"},
 			`minnow: Arrivals: invalid plan: arrival: unknown clause "warp" (have poisson, burst, periodic, trace, seed)`},
-		{"intra jobs", Config{IntraJobs: -2},
-			"minnow: IntraJobs: -2 is negative (0 selects the serial engine, n >= 1 the bound/weave engine with n workers)"},
-		{"epoch window negative", Config{EpochWindow: -1},
-			"minnow: EpochWindow: -1 is negative (0 selects the default window)"},
-		{"epoch window without intra", Config{EpochWindow: 100},
-			"minnow: EpochWindow: tunes the bound/weave engine and requires IntraJobs >= 1"},
 		{"on sample without metrics", Config{OnSample: func(int64, string) {}},
 			"minnow: OnSample: fires at metrics-sample boundaries and requires MetricsEvery > 0"},
 		{"max cycles", Config{MaxCycles: -7},
@@ -108,7 +102,6 @@ func TestValidateErrorForm(t *testing.T) {
 		{Minnow: true, CustomPrefetch: func(Task, GraphView, func(...uint64)) {}},
 		{Minnow: true, Scheduler: "obim"}, {Scheduler: "random"},
 		{HWPrefetcher: "ghb"}, {Faults: "bogus-kind"}, {Arrivals: "bogus-kind"},
-		{IntraJobs: -1}, {EpochWindow: -1}, {EpochWindow: 5},
 		{OnSample: func(int64, string) {}},
 	}
 	for _, cfg := range bad {
